@@ -3,6 +3,7 @@ package cache
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -125,8 +126,10 @@ func TestSingleflightCollapses(t *testing.T) {
 			leaders <- leader
 		}()
 	}
-	// Wait until the leader is inside fn, then let everyone through.
-	for calls.Load() == 0 {
+	// Release the leader only once every follower has joined its call;
+	// a goroutine that reached Do after the release would lead a new one.
+	for f.waiting(keyN(0)) < n-1 {
+		runtime.Gosched()
 	}
 	close(release)
 	wg.Wait()

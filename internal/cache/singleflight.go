@@ -8,6 +8,8 @@ type flightCall[V any] struct {
 	done chan struct{}
 	val  V
 	err  error
+	// waiters counts the followers parked on done (guarded by Flight.mu).
+	waiters int
 }
 
 // Flight collapses concurrent duplicate work: while one caller (the
@@ -31,6 +33,7 @@ func (f *Flight[V]) Do(k Key, fn func() (V, error)) (v V, err error, leader bool
 		f.calls = make(map[Key]*flightCall[V])
 	}
 	if c, ok := f.calls[k]; ok {
+		c.waiters++
 		f.mu.Unlock()
 		<-c.done
 		return c.val, c.err, false
@@ -46,4 +49,15 @@ func (f *Flight[V]) Do(k Key, fn func() (V, error)) (v V, err error, leader bool
 	f.mu.Unlock()
 	close(c.done)
 	return c.val, c.err, true
+}
+
+// waiting reports how many followers have joined the call in flight for
+// k (0 when none is in flight).
+func (f *Flight[V]) waiting(k Key) int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if c, ok := f.calls[k]; ok {
+		return c.waiters
+	}
+	return 0
 }
