@@ -71,8 +71,8 @@ commands:
   help    show this message
 
   vbadetect train -model out.json [-algo svm|rf|mlp|lda|bnb|stack] [-features V|J|entropy|api|stack]
-                  [-scale 0.25] [-seed 1] [-workers N] [-compiled]
-  vbadetect scan  -model model.json [-model-mmap] [-workers N] [-stats] [-trace-out spans.jsonl]
+                  [-scale 0.25] [-seed 1] [-workers N]
+  vbadetect scan  -model model.json [-workers N] [-stats] [-trace-out spans.jsonl]
                   [-trace-chrome trace.json] [-audit-out audit.jsonl] [-audit-sample 0.1]
                   [-cache-entries N] [-cache-bytes N] file...
 
@@ -88,7 +88,6 @@ func train(args []string) error {
 	scale := fs.Float64("scale", 0.25, "training corpus scale (1 = full 4,212 macros)")
 	seed := fs.Int64("seed", 1, "seed")
 	workers := fs.Int("workers", 0, "training concurrency (0 = GOMAXPROCS); results are seed-deterministic for any value")
-	compiled := fs.Bool("compiled", false, "write a compiled model container (JSON + mmap-able forest section; rf only, other algorithms fall back to JSON)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -122,12 +121,7 @@ func train(args []string) error {
 		return err
 	}
 	fmt.Printf("trained in %v\n", time.Since(t0).Round(time.Millisecond))
-	var blob []byte
-	if *compiled {
-		blob, err = det.SaveModelCompiled()
-	} else {
-		blob, err = det.SaveModel()
-	}
+	blob, err := det.SaveModel()
 	if err != nil {
 		return err
 	}
@@ -168,18 +162,16 @@ func scanCmd(args []string) error {
 	auditSample := fs.Float64("audit-sample", 1, "audit sampling rate in [0,1], keyed on document hash")
 	cacheEntries := fs.Int("cache-entries", 0, "verdict cache entry capacity for duplicate documents/macros (0 = default 4096, negative = disable caching)")
 	cacheBytes := fs.Int64("cache-bytes", 0, "verdict cache byte budget (0 = default 256MiB, negative = bound by entries alone)")
-	modelMmap := fs.Bool("model-mmap", false, "memory-map the model file; with a compiled container (train -compiled) inference runs off the shared read-only image")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() == 0 {
 		return errors.New("no files to scan")
 	}
-	det, err := core.LoadModelFile(*modelPath, *modelMmap)
+	det, err := core.LoadModelFile(*modelPath)
 	if err != nil {
 		return err
 	}
-	defer det.Close()
 	docs := make([]scan.Document, 0, fs.NArg())
 	for _, path := range fs.Args() {
 		data, err := os.ReadFile(path)

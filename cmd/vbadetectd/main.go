@@ -34,10 +34,7 @@
 // Per-document resource budgets (hostile-input hardening) are set with the
 // -limit-* flags, the verdict audit log with the -telemetry-audit-* flags,
 // and the content-addressed verdict caches with -cache-entries /
-// -cache-bytes. -model-mmap memory-maps a compiled model container
-// (vbadetect train -compiled) so all workers share one read-only forest
-// image, and -classify-batch-window coalesces feature rows from concurrent
-// scans into shared forest batch calls. Each flag also reads a VBADETECTD_*
+// -cache-bytes. Each flag also reads a VBADETECTD_*
 // environment variable as its default, so containerized deployments can
 // tune them without changing the command line. Flags win over the
 // environment; 0 means the built-in default.
@@ -168,15 +165,6 @@ func run(args []string) error {
 	cacheBytes := fs.Int64("cache-bytes",
 		envInt64("VBADETECTD_CACHE_BYTES", 0),
 		"verdict cache byte budget (0 = default 256MiB, negative = bound by entries alone)")
-	modelMmap := fs.Bool("model-mmap",
-		envBool("VBADETECTD_MODEL_MMAP", false),
-		"memory-map the model file; with a compiled container (vbadetect train -compiled) workers share one read-only model image")
-	batchWindow := fs.Duration("classify-batch-window",
-		envDuration("VBADETECTD_CLASSIFY_BATCH_WINDOW", 0),
-		"coalesce feature rows from concurrent scans into one classify call for up to this long (0 = disabled)")
-	batchMaxRows := fs.Int("classify-batch-max-rows",
-		envInt("VBADETECTD_CLASSIFY_BATCH_MAX_ROWS", 0),
-		"max rows merged into one coalesced classify call (0 = default 256)")
 	intakeDir := fs.String("intake-dir",
 		envString("VBADETECTD_INTAKE_DIR", ""),
 		"enable durable async intake (/v1/submit): journal directory for the crash-safe work queue and published results (empty = disabled)")
@@ -245,9 +233,6 @@ func run(args []string) error {
 		Audit:                 audit,
 		CacheEntries:          *cacheEntries,
 		CacheBytes:            *cacheBytes,
-		ModelMmap:             *modelMmap,
-		ClassifyBatchWindow:   *batchWindow,
-		ClassifyBatchMaxRows:  *batchMaxRows,
 		DriftWarnPSI:          *driftWarnPSI,
 		DriftWindow:           *driftWindow,
 		SLOAvailabilityTarget: *sloAvail,
@@ -325,7 +310,7 @@ func run(args []string) error {
 		return fmt.Errorf("drain: %w", err)
 	}
 	if err := srv.Close(); err != nil {
-		logger.Error("closing model mapping", "error", err)
+		logger.Error("closing server", "error", err)
 	}
 	logger.Info("drained, exiting")
 	return nil

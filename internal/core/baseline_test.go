@@ -40,9 +40,9 @@ func assertBaseline(t *testing.T, b ChannelBaseline) {
 }
 
 // TestBaselinesPersistRoundTrip checks train-time score baselines are
-// computed for the trained channels, survive both the plain-JSON and the
-// compiled-container save paths byte-for-byte, and stay absent (not
-// fabricated) on models saved before baselines existed.
+// computed for the trained channels, survive both a plain-JSON model and
+// one wrapped in a legacy model container byte-for-byte, and stay absent
+// (not fabricated) on models saved before baselines existed.
 func TestBaselinesPersistRoundTrip(t *testing.T) {
 	det := trainSmall(t, AlgoRF, FeatureSetV)
 	base := det.Baselines()
@@ -52,8 +52,11 @@ func TestBaselinesPersistRoundTrip(t *testing.T) {
 	assertBaseline(t, base[0])
 
 	for name, save := range map[string]func() ([]byte, error){
-		"plain":    det.SaveModel,
-		"compiled": det.SaveModelCompiled,
+		"plain": det.SaveModel,
+		"container": func() ([]byte, error) {
+			blob, err := det.SaveModel()
+			return legacyContainer(blob, modelContainerVersion, arbitrarySection), err
+		},
 	} {
 		blob, err := save()
 		if err != nil {

@@ -1,14 +1,12 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/corpus"
-	"repro/internal/ml"
 )
 
 // probeSources returns deterministic macro sources for score comparisons.
@@ -39,110 +37,69 @@ func assertSameVerdicts(t *testing.T, want, got *Detector) {
 	}
 }
 
-func TestSaveModelCompiledRoundTrip(t *testing.T) {
-	det := trainSmall(t, AlgoRF, FeatureSetV)
-	blob, err := det.SaveModelCompiled()
-	if err != nil {
-		t.Fatal(err)
+// legacyContainer builds a VBADMDL1 model container by hand: the frozen
+// 24-byte preamble (magic, container version, reserved word, JSON length),
+// the JSON model, and — when section is non-nil — the 8-aligned section
+// length word followed by the section bytes.
+func legacyContainer(jsonBlob []byte, version uint32, section []byte) []byte {
+	le := binary.LittleEndian
+	buf := make([]byte, modelPreambleSize, modelPreambleSize+len(jsonBlob)+16+len(section))
+	copy(buf, modelMagic)
+	le.PutUint32(buf[8:], version)
+	le.PutUint64(buf[16:], uint64(len(jsonBlob)))
+	buf = append(buf, jsonBlob...)
+	if section == nil {
+		return buf
 	}
-	if !bytes.HasPrefix(blob, []byte(modelMagic)) {
-		t.Fatal("SaveModelCompiled did not produce a container")
-	}
-	restored, err := LoadModel(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := restored.clf.(*ml.CompiledForest); !ok {
-		t.Fatalf("container load yielded %T, want *ml.CompiledForest", restored.clf)
-	}
-	assertSameVerdicts(t, det, restored)
-
-	// A detector restored from the compiled section must still be able to
-	// save the plain JSON model (via the retained raw blob) and re-save the
-	// container itself.
-	plain, err := restored.SaveModel()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromPlain, err := LoadModel(plain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameVerdicts(t, det, fromPlain)
-	again, err := restored.SaveModelCompiled()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(again, blob) {
-		t.Fatal("re-saving a container-loaded detector changed the container bytes")
-	}
+	buf = append(buf, make([]byte, alignModel8(len(buf))-len(buf))...)
+	buf = le.AppendUint64(buf, uint64(len(section)))
+	return append(buf, section...)
 }
 
-func TestSaveModelCompiledNonForest(t *testing.T) {
-	det := trainSmall(t, AlgoLDA, FeatureSetV)
-	blob, err := det.SaveModelCompiled()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.HasPrefix(blob, []byte(modelMagic)) {
-		t.Fatal("non-forest model should serialize as plain JSON")
-	}
-	restored, err := LoadModel(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameVerdicts(t, det, restored)
-}
+// arbitrarySection is section payload no loader decodes: containers are
+// read for their JSON head only.
+var arbitrarySection = []byte("compiled-forest section bytes, skipped unread by the loader")
 
 func TestLoadModelContainerSkewAndDamage(t *testing.T) {
 	det := trainSmall(t, AlgoRF, FeatureSetV)
-	blob, err := det.SaveModelCompiled()
+	plain, err := det.SaveModel()
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	t.Run("section_version_skew_falls_back", func(t *testing.T) {
-		bad := append([]byte(nil), blob...)
-		_, section, err := splitModelContainer(bad)
-		if err != nil || section == nil {
-			t.Fatalf("splitModelContainer: section=%v err=%v", section != nil, err)
-		}
-		binary.NativeEndian.PutUint32(section[8:], 99) // future section version
-		restored, err := LoadModel(bad)
+	fromJSON, err := LoadModel(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loads := func(t *testing.T, blob []byte) {
+		t.Helper()
+		restored, err := LoadModel(blob)
 		if err != nil {
-			t.Fatalf("version skew should fall back to JSON, got %v", err)
+			t.Fatalf("container should load from its JSON head, got %v", err)
 		}
-		if _, ok := restored.clf.(*ml.RandomForest); !ok {
-			t.Fatalf("fallback yielded %T, want *ml.RandomForest", restored.clf)
-		}
-		assertSameVerdicts(t, det, restored)
+		assertSameVerdicts(t, fromJSON, restored)
+	}
+
+	// Any section — a future section version, or bytes no decoder would
+	// accept — is skipped.
+	t.Run("section_version_skew_falls_back", func(t *testing.T) {
+		loads(t, legacyContainer(plain, modelContainerVersion, arbitrarySection))
 	})
 
 	t.Run("container_version_skew_falls_back", func(t *testing.T) {
-		bad := append([]byte(nil), blob...)
-		binary.LittleEndian.PutUint32(bad[8:], modelContainerVersion+5)
-		restored, err := LoadModel(bad)
-		if err != nil {
-			t.Fatalf("future container version should still load JSON, got %v", err)
-		}
-		assertSameVerdicts(t, det, restored)
+		loads(t, legacyContainer(plain, modelContainerVersion+5, arbitrarySection))
 	})
 
-	t.Run("section_corruption_is_an_error", func(t *testing.T) {
-		bad := append([]byte(nil), blob...)
-		_, section, err := splitModelContainer(bad)
-		if err != nil || section == nil {
-			t.Fatalf("splitModelContainer: section=%v err=%v", section != nil, err)
-		}
-		section[70] ^= 0x10 // flip a payload bit past the section header
-		if _, err := LoadModel(bad); err == nil {
-			t.Fatal("corrupt compiled section must not load silently")
-		}
+	t.Run("no_section", func(t *testing.T) {
+		loads(t, legacyContainer(plain, modelContainerVersion, nil))
 	})
 
 	t.Run("truncated_container_is_an_error", func(t *testing.T) {
+		blob := legacyContainer(plain, modelContainerVersion, arbitrarySection)
 		if _, err := LoadModel(blob[:20]); err == nil {
 			t.Fatal("truncated preamble accepted")
+		}
+		if _, err := LoadModel(blob[:modelPreambleSize+len(plain)/2]); err == nil {
+			t.Fatal("truncated JSON head accepted")
 		}
 		if _, err := LoadModel(blob[:len(blob)-30]); err == nil {
 			t.Fatal("truncated section accepted")
@@ -152,76 +109,26 @@ func TestLoadModelContainerSkewAndDamage(t *testing.T) {
 
 func TestLoadModelFile(t *testing.T) {
 	det := trainSmall(t, AlgoRF, FeatureSetV)
-	blob, err := det.SaveModelCompiled()
+	plain, err := det.SaveModel()
 	if err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "model.bin")
-	if err := os.WriteFile(path, blob, 0o644); err != nil {
+	if err := os.WriteFile(path, legacyContainer(plain, modelContainerVersion, arbitrarySection), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	t.Run("mmap", func(t *testing.T) {
-		loaded, err := LoadModelFile(path, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m := loaded.ModelMapping()
-		if m == nil {
-			t.Fatal("mmap load of an aligned container should keep the mapping")
-		}
-		assertSameVerdicts(t, det, loaded)
-		if err := loaded.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if !m.Unmapped() {
-			t.Fatal("Close with no in-flight scans should unmap the model image")
-		}
-		if err := loaded.Close(); err != nil {
-			t.Fatalf("Close must be idempotent: %v", err)
-		}
-	})
-
 	t.Run("read", func(t *testing.T) {
-		loaded, err := LoadModelFile(path, false)
+		loaded, err := LoadModelFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if loaded.ModelMapping() != nil {
-			t.Fatal("plain read must not report a mapping")
-		}
 		assertSameVerdicts(t, det, loaded)
-		if err := loaded.Close(); err != nil {
-			t.Fatalf("Close without a mapping: %v", err)
-		}
 	})
 
 	t.Run("missing", func(t *testing.T) {
-		if _, err := LoadModelFile(filepath.Join(t.TempDir(), "nope"), true); err == nil {
+		if _, err := LoadModelFile(filepath.Join(t.TempDir(), "nope")); err == nil {
 			t.Fatal("missing model file accepted")
 		}
 	})
-}
-
-func TestSetClassifyBatchRouting(t *testing.T) {
-	det := trainSmall(t, AlgoRF, FeatureSetV)
-	calls := 0
-	det.SetClassifyBatch(func(X [][]float64) ([]int, []float64) {
-		calls++
-		return det.PredictBatch(X)
-	})
-	x := det.featureSet.Extract("Sub A()\nb = Chr(1) & Chr(2)\nEnd Sub")
-	labels, scores := det.predictRows([][]float64{x})
-	if calls != 1 {
-		t.Fatalf("classify hook called %d times, want 1", calls)
-	}
-	wantLabels, wantScores := det.PredictBatch([][]float64{x})
-	if labels[0] != wantLabels[0] || scores[0] != wantScores[0] {
-		t.Fatal("hooked classification drifted from direct PredictBatch")
-	}
-	det.SetClassifyBatch(nil)
-	det.predictRows([][]float64{x})
-	if calls != 1 {
-		t.Fatal("nil hook must restore the inline path")
-	}
 }

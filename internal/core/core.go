@@ -198,15 +198,9 @@ type Detector struct {
 	// before baselines existed.
 	baselines []ChannelBaseline
 
-	// classifyBatch, when set, replaces the inline classifier call in
-	// ScanFileCtx's classify phase (see SetClassifyBatch).
-	classifyBatch func(X [][]float64) ([]int, []float64)
 	// modelRaw is the JSON classifier blob this detector was loaded from,
-	// kept so SaveModel works even when clf is a compiled-only forest.
+	// kept so SaveModel writes back exactly the classifier it read.
 	modelRaw json.RawMessage
-	// mapping is the mmap'd model image backing clf, owned by the
-	// detector (see LoadModelFile and Close).
-	mapping *ml.Mapping
 
 	// modelSHA is the hex SHA-256 of the serialized model image this
 	// detector was loaded from — the fleet-wide model identity a gateway
@@ -324,15 +318,6 @@ func (d *Detector) Train(sources []string, labels []int) error {
 	if err := d.clf.Fit(X, labels); err != nil {
 		return fmt.Errorf("core: train: %w", err)
 	}
-	switch v := d.clf.(type) {
-	case *ml.RandomForest:
-		// Scanning is inference-only from here on; the compiled engine is
-		// bit-identical and several times faster. Non-compilable ensembles
-		// (which Fit cannot produce) just keep the flattened walk.
-		_ = v.Compile()
-	case *ml.Stacked:
-		_ = v.Compile()
-	}
 	d.modelRaw = nil
 	d.trained = true
 	d.baselines = d.computeBaselines(X)
@@ -394,45 +379,19 @@ func binBaseline(name string, scores []float64) ChannelBaseline {
 	}
 }
 
-// SetClassifyBatch overrides how ScanFileCtx's classify phase scores
-// pending feature rows — the hook point for a daemon-level coalescer that
-// merges rows from concurrent scans into one forest batch call. fn must
-// return one label and one score per input row, and must be safe for
-// concurrent calls. Configure before serving scans; a nil fn restores the
-// inline classifier call.
-func (d *Detector) SetClassifyBatch(fn func(X [][]float64) ([]int, []float64)) {
-	d.classifyBatch = fn
-}
-
 // PredictBatch scores pre-computed feature rows through the detector's
-// classifier (one batched call, bit-identical to per-row scoring). It pins
-// the model mapping for the duration of the call, so a concurrent Close
-// cannot unmap the image mid-batch.
+// classifier (one batched call, bit-identical to per-row scoring).
 func (d *Detector) PredictBatch(X [][]float64) ([]int, []float64) {
-	if d.mapping != nil && d.mapping.Retain() {
-		defer d.mapping.Release()
-	}
 	return ml.PredictBatch(d.clf, X)
 }
 
-// predictRows routes the classify phase through the configured batcher.
-func (d *Detector) predictRows(X [][]float64) ([]int, []float64) {
-	if d.classifyBatch != nil {
-		return d.classifyBatch(X)
-	}
-	return d.PredictBatch(X)
-}
-
 // classifyPending scores the batch and reports per-channel contributions.
-// For the stacking ensemble on the inline path, the per-channel forest
-// pass IS the verdict computation (the combiner fold costs nothing), so
-// contributions come for free; under a classify-batch override the
-// verdict goes through the override and the channel pass runs alongside.
-// Every other model reports one "overall" channel mirroring the final
-// score.
+// For the stacking ensemble the per-channel forest pass IS the verdict
+// computation (the combiner fold costs nothing), so contributions come
+// for free. Every other model reports one "overall" channel mirroring the
+// final score.
 func (d *Detector) classifyPending(X [][]float64) (labels []int, scores []float64, chans [][]ChannelScore) {
-	st, stacked := d.clf.(*ml.Stacked)
-	if stacked && d.classifyBatch == nil {
+	if st, ok := d.clf.(*ml.Stacked); ok {
 		cols := st.ChannelScoreBatch(X)
 		labels = make([]int, len(X))
 		scores = make([]float64, len(X))
@@ -446,10 +405,7 @@ func (d *Detector) classifyPending(X [][]float64) (labels []int, scores []float6
 		}
 		return labels, scores, d.channelRecords(st, cols)
 	}
-	labels, scores = d.predictRows(X)
-	if stacked {
-		return labels, scores, d.channelRecords(st, st.ChannelScoreBatch(X))
-	}
+	labels, scores = d.PredictBatch(X)
 	chans = make([][]ChannelScore, len(X))
 	for k := range X {
 		chans[k] = []ChannelScore{{Channel: "overall", Score: scores[k], Weight: 1}}
@@ -884,13 +840,12 @@ func (d *Detector) SaveModel() ([]byte, error) {
 	})
 }
 
-// Container model format: SaveModelCompiled wraps the JSON model in a
-// binary container that also carries the fixed-layout compiled-forest
-// section, so LoadModelFile can mmap the section and serve inference
-// straight off the page cache. The preamble (magic, container version,
-// reserved word, JSON length) is frozen across container versions: any
-// future reader can always locate the JSON model and fall back to it, and
-// any future writer keeps old readers working.
+// Model container: older releases could also write the JSON model inside
+// a binary VBADMDL1 container that carried a compiled-forest section after
+// it. The preamble (magic, container version, reserved word, JSON length)
+// is frozen across container versions, so every such container still
+// loads: the detector is built from its JSON head and the section is
+// skipped unread.
 const (
 	modelMagic            = "VBADMDL1"
 	modelContainerVersion = 1
@@ -899,91 +854,37 @@ const (
 
 func alignModel8(n int) int { return (n + 7) &^ 7 }
 
-// SaveModelCompiled serializes the trained detector as a model container.
-// For a Random Forest the container holds the JSON model plus the compiled
-// section; for every other algorithm it returns the plain JSON model
-// (there is nothing to compile, and LoadModel accepts both forms).
-func (d *Detector) SaveModelCompiled() ([]byte, error) {
-	jsonBlob, err := d.SaveModel()
-	if err != nil {
-		return nil, err
-	}
-	var cf *ml.CompiledForest
-	switch v := d.clf.(type) {
-	case *ml.CompiledForest:
-		cf = v
-	case *ml.RandomForest:
-		if cf = v.Compiled(); cf == nil {
-			if err := v.Compile(); err != nil {
-				return jsonBlob, nil // non-compilable: plain JSON still works
-			}
-			cf = v.Compiled()
-		}
-	default:
-		return jsonBlob, nil
-	}
-	section, err := ml.EncodeCompiled(cf)
-	if err != nil {
-		return nil, fmt.Errorf("core: encode compiled section: %w", err)
-	}
-	// Preamble and section-length words use fixed little-endian so the JSON
-	// model stays reachable on any machine; the section itself is
-	// native-endian and tagged, and a foreign-endian reader falls back.
-	le := binary.LittleEndian
-	sectionOff := alignModel8(modelPreambleSize+len(jsonBlob)) + 8
-	buf := make([]byte, sectionOff+len(section))
-	copy(buf[0:8], modelMagic)
-	le.PutUint32(buf[8:], modelContainerVersion)
-	le.PutUint64(buf[16:], uint64(len(jsonBlob)))
-	copy(buf[modelPreambleSize:], jsonBlob)
-	le.PutUint64(buf[sectionOff-8:], uint64(len(section)))
-	copy(buf[sectionOff:], section)
-	return buf, nil
-}
-
-// splitModelContainer separates a model blob into its JSON model and
-// optional compiled section. Plain JSON (no container magic) passes
-// through unchanged. An unknown container version still yields the JSON
-// model — the preamble is frozen — but the section is ignored.
-func splitModelContainer(data []byte) (jsonBlob, section []byte, err error) {
+// splitModelContainer returns the JSON model inside a model blob. Plain
+// JSON (no container magic) passes through unchanged. For a container the
+// little-endian length words must fit the blob — the JSON length for any
+// version, and the section length for a version-1 container — or the
+// container is reported truncated.
+func splitModelContainer(data []byte) ([]byte, error) {
 	if len(data) < modelPreambleSize || string(data[0:8]) != modelMagic {
-		return data, nil, nil
+		return data, nil
 	}
 	le := binary.LittleEndian
 	version := le.Uint32(data[8:])
 	jsonLen := le.Uint64(data[16:])
 	if jsonLen > uint64(len(data)-modelPreambleSize) {
-		return nil, nil, errors.New("core: model container truncated")
+		return nil, errors.New("core: model container truncated")
 	}
-	jsonBlob = data[modelPreambleSize : modelPreambleSize+int(jsonLen)]
-	if version != modelContainerVersion {
-		return jsonBlob, nil, nil
-	}
+	jsonBlob := data[modelPreambleSize : modelPreambleSize+int(jsonLen)]
 	sectionOff := alignModel8(modelPreambleSize + int(jsonLen))
-	if sectionOff == len(data) {
-		return jsonBlob, nil, nil // container without a section
+	if version != modelContainerVersion || sectionOff == len(data) {
+		return jsonBlob, nil
 	}
-	if sectionOff+8 > len(data) {
-		return nil, nil, errors.New("core: model container truncated")
+	if sectionOff+8 > len(data) ||
+		le.Uint64(data[sectionOff:]) > uint64(len(data)-sectionOff-8) {
+		return nil, errors.New("core: model container truncated")
 	}
-	sectionLen := le.Uint64(data[sectionOff:])
-	if sectionLen > uint64(len(data)-sectionOff-8) {
-		return nil, nil, errors.New("core: model container truncated")
-	}
-	return jsonBlob, data[sectionOff+8 : sectionOff+8+int(sectionLen)], nil
+	return jsonBlob, nil
 }
 
-// LoadModel restores a detector saved with SaveModel or SaveModelCompiled.
-// For a container, the compiled section is preferred; version or
-// endianness skew in the section falls back cleanly to the embedded JSON
-// model, while a corrupt section (bad checksum, hostile indices) is
-// surfaced as an error rather than silently ignored.
+// LoadModel restores a detector saved with SaveModel, or from a model
+// container (see splitModelContainer).
 func LoadModel(data []byte) (*Detector, error) {
-	return loadModel(data, nil)
-}
-
-func loadModel(data []byte, m *ml.Mapping) (*Detector, error) {
-	jsonBlob, section, err := splitModelContainer(data)
+	jsonBlob, err := splitModelContainer(data)
 	if err != nil {
 		return nil, err
 	}
@@ -991,24 +892,9 @@ func loadModel(data []byte, m *ml.Mapping) (*Detector, error) {
 	if err := json.Unmarshal(jsonBlob, &head); err != nil {
 		return nil, fmt.Errorf("core: bad model: %w", err)
 	}
-	var clf ml.Classifier
-	if section != nil && Algorithm(head.Algorithm) == AlgoRF {
-		cf, err := ml.DecodeCompiled(section, m)
-		switch {
-		case err == nil:
-			clf = cf
-		case errors.Is(err, ml.ErrSnapshotVersion), errors.Is(err, ml.ErrSnapshotEndian):
-			// Reader skew, not damage: the JSON model below is equivalent.
-		default:
-			return nil, fmt.Errorf("core: bad model: %w", err)
-		}
-	}
-	if clf == nil {
-		var err error
-		clf, err = ml.Load(head.Model)
-		if err != nil {
-			return nil, fmt.Errorf("core: bad model: %w", err)
-		}
+	clf, err := ml.Load(head.Model)
+	if err != nil {
+		return nil, fmt.Errorf("core: bad model: %w", err)
 	}
 	fs, err := ParseFeatureSet(head.FeatureSet)
 	if err != nil {
@@ -1082,48 +968,11 @@ func validateModelChannels(fs FeatureSet, rec []modelChannel) error {
 	return nil
 }
 
-// LoadModelFile restores a detector from a model file. With useMmap set
-// and a container whose compiled section can be aliased in place, the
-// detector serves inference directly off the read-only mapping — N
-// workers (and, via the page cache, N processes) share one model image —
-// and owns the mapping: call Close when done. In every other case the
-// file is read and decoded into process memory.
-func LoadModelFile(path string, useMmap bool) (*Detector, error) {
-	if !useMmap {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil, fmt.Errorf("core: read model: %w", err)
-		}
-		return LoadModel(data)
-	}
-	m, err := ml.MapFile(path)
+// LoadModelFile reads a model file and restores the detector it holds.
+func LoadModelFile(path string) (*Detector, error) {
+	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, fmt.Errorf("core: map model: %w", err)
+		return nil, fmt.Errorf("core: read model: %w", err)
 	}
-	det, err := loadModel(m.Data(), m)
-	if err != nil {
-		m.Close()
-		return nil, err
-	}
-	if cf, ok := det.clf.(*ml.CompiledForest); ok && cf.Mapping() == m {
-		det.mapping = m
-	} else {
-		m.Close() // decode copied (or fell back to JSON); mapping unused
-	}
-	return det, nil
-}
-
-// ModelMapping returns the mmap'd model image backing this detector, or
-// nil when the model lives in process memory.
-func (d *Detector) ModelMapping() *ml.Mapping { return d.mapping }
-
-// Close releases the detector's model mapping, if any. The underlying
-// image stays mapped until in-flight batch scoring calls that pinned it
-// finish; new scans must not start after Close. Close is idempotent and a
-// no-op for detectors without a mapping.
-func (d *Detector) Close() error {
-	if d.mapping != nil {
-		return d.mapping.Close()
-	}
-	return nil
+	return LoadModel(data)
 }

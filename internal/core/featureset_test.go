@@ -275,14 +275,9 @@ func TestStackDetectorEndToEnd(t *testing.T) {
 		}
 	}
 
-	// SaveModelCompiled for a stack falls back to the plain JSON form and
-	// still loads.
-	cblob, err := det.SaveModelCompiled()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadModel(cblob); err != nil {
-		t.Errorf("compiled-save stack model rejected: %v", err)
+	// A stack model wrapped in a legacy model container still loads.
+	if _, err := LoadModel(legacyContainer(blob, modelContainerVersion, arbitrarySection)); err != nil {
+		t.Errorf("containerized stack model rejected: %v", err)
 	}
 }
 

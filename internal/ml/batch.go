@@ -36,10 +36,6 @@ func predictBatchInto(c Classifier, X [][]float64, labels []int, scores []float6
 			thresholdLabels(scores, labels)
 			return
 		}
-	case *CompiledForest:
-		v.ScoreBatch(X, scores)
-		thresholdLabels(scores, labels)
-		return
 	case *Stacked:
 		if v.fitted {
 			v.ScoreBatch(X, scores)

@@ -26,11 +26,6 @@ type RandomForest struct {
 
 	ensemble []*DecisionTree
 	fitted   bool
-
-	// compiled, when non-nil, is the branch-minimal engine built by
-	// Compile; Score/ScoreBatch route through it (bit-identical results,
-	// see CompiledForest).
-	compiled *CompiledForest
 }
 
 // NewRandomForest returns a forest with the scikit-learn-like defaults the
@@ -105,24 +100,8 @@ func (f *RandomForest) Fit(X [][]float64, y []int) error {
 		wg.Wait()
 	}
 	f.fitted = true
-	f.compiled = nil // a refit invalidates any previously compiled engine
 	return nil
 }
-
-// Compile builds the compiled inference engine for the fitted forest and
-// routes Score/ScoreBatch through it. Results are bit-identical to the
-// uncompiled walk; only speed changes. Fit invalidates the engine.
-func (f *RandomForest) Compile() error {
-	c, err := CompileForest(f)
-	if err != nil {
-		return err
-	}
-	f.compiled = c
-	return nil
-}
-
-// Compiled returns the compiled engine, or nil before Compile.
-func (f *RandomForest) Compiled() *CompiledForest { return f.compiled }
 
 // treeSeed derives an independent per-tree RNG seed from the forest seed
 // with a splitmix64 finalizer, decorrelating the tree streams.
@@ -137,9 +116,6 @@ func treeSeed(seed int64, tree int) int64 {
 func (f *RandomForest) Score(x []float64) float64 {
 	if !f.fitted || len(f.ensemble) == 0 {
 		return 0
-	}
-	if f.compiled != nil {
-		return f.compiled.Score(x)
 	}
 	sum := 0.0
 	for _, t := range f.ensemble {
@@ -165,10 +141,6 @@ func (f *RandomForest) ScoreBatch(X [][]float64, out []float64) {
 		for k := range out {
 			out[k] = 0
 		}
-		return
-	}
-	if f.compiled != nil {
-		f.compiled.ScoreBatch(X, out)
 		return
 	}
 	for k := range out {

@@ -22,9 +22,6 @@ const (
 	Positive = 1
 )
 
-// ErrNotFitted is returned by Predict/Score before Fit.
-var ErrNotFitted = errors.New("ml: classifier is not fitted")
-
 // ErrBadTrainingData reports degenerate training input.
 var ErrBadTrainingData = errors.New("ml: bad training data")
 

@@ -121,12 +121,6 @@ func Load(data []byte) (Classifier, error) {
 		for _, ts := range st.Trees {
 			rf.ensemble = append(rf.ensemble, restoreTree(ts, true))
 		}
-		if rf.fitted {
-			// Loaded models serve inference only, so build the compiled
-			// engine eagerly; on the rare non-compilable ensemble the
-			// flattened-array walk keeps working.
-			_ = rf.Compile()
-		}
 		return rf, nil
 	case "tree":
 		var st treeState

@@ -258,21 +258,6 @@ func (s *Stacked) CombineChannels(meta []float64) float64 {
 	return s.combiner.Score(meta)
 }
 
-// Compile builds the compiled inference engine for every base forest.
-// Results stay bit-identical; a non-compilable base keeps its flattened
-// walk.
-func (s *Stacked) Compile() error {
-	if !s.fitted {
-		return ErrNotFitted
-	}
-	for _, rf := range s.bases {
-		if err := rf.Compile(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Bases returns the fitted per-channel forests, in channel order (nil
 // before Fit).
 func (s *Stacked) Bases() []*RandomForest { return s.bases }

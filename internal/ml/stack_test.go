@@ -141,20 +141,6 @@ func TestStackedBatchMatchesSingle(t *testing.T) {
 	}
 }
 
-func TestStackedCompileBitIdentical(t *testing.T) {
-	s, X, _ := fitStack(t, 21)
-	before := make([]float64, len(X))
-	s.ScoreBatch(X, before)
-	if err := s.Compile(); err != nil {
-		t.Fatalf("Compile: %v", err)
-	}
-	after := make([]float64, len(X))
-	s.ScoreBatch(X, after)
-	if !reflect.DeepEqual(before, after) {
-		t.Error("compiled stack scores diverge from uncompiled")
-	}
-}
-
 func TestStackedSnapshotRoundTrip(t *testing.T) {
 	s, X, _ := fitStack(t, 33)
 	blob, err := Save(s)
@@ -217,9 +203,6 @@ func TestStackedRejectsBadLayout(t *testing.T) {
 	var unfitted Stacked
 	if unfitted.Predict([]float64{1, 2, 3, 4, 5}) != Negative {
 		t.Error("unfitted stack must predict negative")
-	}
-	if unfitted.Compile() == nil {
-		t.Error("unfitted Compile must error")
 	}
 }
 

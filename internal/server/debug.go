@@ -154,9 +154,6 @@ func (s *Server) configView() map[string]any {
 	c := s.cfg
 	return map[string]any{
 		"model_path":              c.ModelPath,
-		"model_mmap":              c.ModelMmap,
-		"classify_batch_window":   c.ClassifyBatchWindow.String(),
-		"classify_batch_max_rows": c.ClassifyBatchMaxRows,
 		"max_body_bytes":          c.MaxBodyBytes,
 		"max_in_flight":           c.MaxInFlight,
 		"queue_wait":              c.QueueWait.String(),

@@ -486,9 +486,8 @@ func (in *intake) process(ctx context.Context, d *queue.Delivery) {
 		root.Annotate("request_id", meta.RequestID)
 	}
 
-	det, _, _, release := s.pipeline()
+	det, _, _ := s.pipeline()
 	if det == nil {
-		release()
 		_ = d.Fail("no model loaded")
 		return
 	}
@@ -508,7 +507,6 @@ func (in *intake) process(ctx context.Context, d *queue.Delivery) {
 		return nil
 	}()
 	cancel()
-	release()
 	sp.SetBytes(int64(len(d.Data)))
 	sp.SetError(werr, hostile.Classify(werr))
 	sp.End()

@@ -64,12 +64,6 @@ type Metrics struct {
 	QueueWait      *telemetry.Histogram
 	RequestLatency *telemetry.Histogram
 
-	// Micro-batching instruments, populated only when a classify window is
-	// configured: rows per coalesced forest call (a value histogram, not a
-	// latency one) and how long each batch leader held the window open.
-	ClassifyBatchSize *telemetry.Histogram
-	ClassifyBatchWait *telemetry.Histogram
-
 	// MacroScores is the production classifier-score distribution (a value
 	// histogram over [0,1]) — the raw material the drift monitor compares
 	// against the model's train-time baselines.
@@ -102,11 +96,6 @@ func NewMetrics() *Metrics {
 	m.StageClassify = r.Histogram("stage_classify_seconds", "Classification stage latency.", nil)
 	m.QueueWait = r.Histogram("queue_wait_seconds", "Time requests wait for an admission slot.", nil)
 	m.RequestLatency = r.Histogram("request_seconds", "Whole-request latency for scan endpoints.", nil)
-	m.ClassifyBatchSize = r.Histogram("classify_batch_size",
-		"Feature rows per coalesced classify call.",
-		[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256})
-	m.ClassifyBatchWait = r.Histogram("classify_batch_wait_seconds",
-		"Time a classify batch leader held the coalescing window open.", nil)
 	m.MacroScores = r.Histogram("macro_score",
 		"Classifier decision scores of scanned macros.",
 		[]float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1})

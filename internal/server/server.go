@@ -43,20 +43,6 @@ type Config struct {
 	// ModelPath is the model file reloaded on SIGHUP / admin reload.
 	// Empty disables reloading (the initial detector stays pinned).
 	ModelPath string
-	// ModelMmap memory-maps ModelPath instead of reading it. When the file
-	// is a compiled model container (vbadetect train -compiled) whose
-	// section can be aliased in place, inference runs straight off the
-	// read-only page-cache image — N workers and N daemon processes share
-	// one copy of the forest. Plain JSON models load normally either way.
-	ModelMmap bool
-	// ClassifyBatchWindow enables daemon micro-batching: feature rows from
-	// concurrent scan requests are coalesced for up to this long into one
-	// forest batch call. 0 (the default) disables coalescing entirely,
-	// leaving single-request latency untouched.
-	ClassifyBatchWindow time.Duration
-	// ClassifyBatchMaxRows caps rows merged into one coalesced classify
-	// call (a full batch flushes before the window expires). Default 256.
-	ClassifyBatchMaxRows int
 	// MaxBodyBytes caps a request body (raw or multipart). Default 32 MiB.
 	MaxBodyBytes int64
 	// MaxInFlight bounds concurrently processed scan requests. Default
@@ -323,20 +309,10 @@ func (s *Server) newMacroCache() *core.MacroCache {
 }
 
 // wireDetector applies the server's per-detector configuration: resource
-// limits, a fresh macro cache, and — when a classify window is configured —
-// a micro-batching coalescer that merges feature rows from concurrent
-// scans into one forest batch call, feeding the classify-batch histograms.
+// limits and a fresh macro cache.
 func (s *Server) wireDetector(det *core.Detector) {
 	det.SetLimits(s.cfg.Limits)
 	det.SetMacroCache(s.newMacroCache())
-	if s.cfg.ClassifyBatchWindow > 0 {
-		co := scan.NewCoalescer(det.PredictBatch, s.cfg.ClassifyBatchWindow, s.cfg.ClassifyBatchMaxRows)
-		co.SetObserver(func(rows, callers int, wait time.Duration) {
-			s.metrics.ClassifyBatchSize.ObserveValue(float64(rows))
-			s.metrics.ClassifyBatchWait.Observe(wait)
-		})
-		det.SetClassifyBatch(co.Predict)
-	}
 }
 
 // NewFromModelFile loads the model at cfg.ModelPath (or path, which
@@ -364,24 +340,10 @@ func (s *Server) detector() *core.Detector {
 
 // pipeline snapshots the scan pipeline under the read lock: the current
 // model plus the document cache and request-collapsing group tied to it.
-// It also leases the detector's model mapping — release must be called
-// exactly once when the request's use of the detector ends (it is
-// idempotent and never nil). While the lease is held, a concurrent
-// Reload/Close cannot unmap the mmap'd model image out from under an
-// in-flight scan; the image is unmapped when the last lease releases.
-func (s *Server) pipeline() (*core.Detector, *scan.DocCache, *cache.Flight[scanOutcome], func()) {
+func (s *Server) pipeline() (*core.Detector, *scan.DocCache, *cache.Flight[scanOutcome]) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	release := func() {}
-	if s.det != nil {
-		// Retain cannot fail here: the detector still owns its mapping
-		// reference until a Reload swaps it out, which needs the write lock.
-		if m := s.det.ModelMapping(); m != nil && m.Retain() {
-			var once sync.Once
-			release = func() { once.Do(m.Release) }
-		}
-	}
-	return s.det, s.docs, s.flight, release
+	return s.det, s.docs, s.flight
 }
 
 // docCacheStats returns document-cache counters accumulated across model
@@ -477,7 +439,7 @@ func (s *Server) Reload() error {
 	if s.cfg.ModelPath == "" {
 		return errors.New("server: no model path configured")
 	}
-	det, err := core.LoadModelFile(s.cfg.ModelPath, s.cfg.ModelMmap)
+	det, err := core.LoadModelFile(s.cfg.ModelPath)
 	if err != nil {
 		return fmt.Errorf("server: reload: %w", err)
 	}
@@ -494,9 +456,8 @@ func (s *Server) Reload() error {
 	s.cacheBase.doc.Hits += oldDoc.Hits
 	s.cacheBase.doc.Misses += oldDoc.Misses
 	s.cacheBase.doc.Evictions += oldDoc.Evictions
-	oldDet := s.det
-	if oldDet != nil {
-		old := oldDet.MacroCache().Stats()
+	if s.det != nil {
+		old := s.det.MacroCache().Stats()
 		s.cacheBase.macro.Hits += old.Hits
 		s.cacheBase.macro.Misses += old.Misses
 		s.cacheBase.macro.Evictions += old.Evictions
@@ -506,12 +467,6 @@ func (s *Server) Reload() error {
 	s.flight = flight
 	s.drift = drift
 	s.mu.Unlock()
-	if oldDet != nil {
-		// Drop the retired detector's ownership of its model mapping. The
-		// image stays mapped until the last in-flight scan that leased it
-		// through pipeline() releases.
-		_ = oldDet.Close()
-	}
 	s.metrics.Reloads.Add(1)
 	s.log.Info("model reloaded",
 		"path", s.cfg.ModelPath,
@@ -524,18 +479,11 @@ func (s *Server) Reload() error {
 // traffic while http.Server.Shutdown drains in-flight requests.
 func (s *Server) BeginShutdown() { s.draining.Store(true) }
 
-// Close stops the intake workers (waiting for jobs they hold), closes the
-// intake journal, and releases the current detector's model mapping, if
-// any. Call after Drain: the mmap'd model image is unmapped once no
-// in-flight scan holds a lease on it. Idempotent.
+// Close stops the intake workers (waiting for jobs they hold) and closes
+// the intake journal. Call after Drain. Idempotent; the error is always
+// nil (Close keeps the io.Closer shape).
 func (s *Server) Close() error {
 	s.stopIntake()
-	s.mu.RLock()
-	det := s.det
-	s.mu.RUnlock()
-	if det != nil {
-		return det.Close()
-	}
 	return nil
 }
 
@@ -968,12 +916,11 @@ type scanOutcome struct {
 // demand). Errors and degraded reports are shared with the waiting
 // followers but never cached — a later request re-runs the pipeline.
 func (s *Server) runScan(ctx context.Context, det *core.Detector, data []byte,
-	key cache.Key, docs *scan.DocCache, flight *cache.Flight[scanOutcome], release func()) (scanOutcome, bool) {
+	key cache.Key, docs *scan.DocCache, flight *cache.Flight[scanOutcome]) (scanOutcome, bool) {
 	done := make(chan scanOutcome, 1)
 	s.inflight.Add(1)
 	go func() {
 		defer s.inflight.Done()
-		defer release() // model-mapping lease ends only when the scan does
 		defer func() { <-s.sem }()
 		defer s.metrics.InFlight.Add(-1)
 		s.metrics.InFlight.Add(1)
@@ -1098,15 +1045,13 @@ func errorClass(err error) string {
 
 func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	det, docs, flight, release := s.pipeline()
+	det, docs, flight := s.pipeline()
 	if det == nil || s.draining.Load() {
-		release()
 		s.writeNotReady(w)
 		return
 	}
 	name, data, err := s.readDocument(w, r)
 	if err != nil {
-		release()
 		s.writeBodyError(w, err)
 		return
 	}
@@ -1118,7 +1063,6 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 		// channel layout can never serve entries written under the old one.
 		key = cache.KeyOfSalted(det.FeatureSetID(), data)
 		if report, ok := docs.Get(key); ok {
-			release()
 			resp := ScanResponse{RequestID: requestID(r.Context()),
 				TraceID: traceContext(r.Context()).TraceID, File: name}
 			s.recordOutcome(&resp, scanOutcome{report: report}, true)
@@ -1132,7 +1076,6 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if !s.acquireSlot(w, r) {
-		release()
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.ScanTimeout)
@@ -1143,7 +1086,7 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 		tr.SetTraceContext(traceContext(r.Context()))
 		ctx = telemetry.ContextWithTracer(ctx, tr)
 	}
-	out, ok := s.runScan(ctx, det, data, key, docs, flight, release)
+	out, ok := s.runScan(ctx, det, data, key, docs, flight)
 	resp := ScanResponse{RequestID: requestID(r.Context()),
 		TraceID: traceContext(r.Context()).TraceID, File: name}
 	if !ok {
@@ -1204,15 +1147,13 @@ func (s *Server) writeBodyError(w http.ResponseWriter, err error) {
 
 func (s *Server) handleScanBatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	det, dcache, _, release := s.pipeline()
+	det, dcache, _ := s.pipeline()
 	if det == nil || s.draining.Load() {
-		release()
 		s.writeNotReady(w)
 		return
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	if err := r.ParseMultipartForm(s.cfg.MaxBodyBytes); err != nil {
-		release()
 		s.writeBodyError(w, err)
 		return
 	}
@@ -1220,7 +1161,6 @@ func (s *Server) handleScanBatch(w http.ResponseWriter, r *http.Request) {
 	for _, headers := range r.MultipartForm.File {
 		for _, fh := range headers {
 			if len(docs) >= s.cfg.MaxBatchFiles {
-				release()
 				s.metrics.Errors.Add("bad_request", 1)
 				writeJSON(w, http.StatusRequestEntityTooLarge,
 					map[string]string{"error": fmt.Sprintf("batch exceeds %d file limit", s.cfg.MaxBatchFiles)})
@@ -1228,14 +1168,12 @@ func (s *Server) handleScanBatch(w http.ResponseWriter, r *http.Request) {
 			}
 			f, err := fh.Open()
 			if err != nil {
-				release()
 				s.writeBodyError(w, err)
 				return
 			}
 			data, err := io.ReadAll(f)
 			f.Close()
 			if err != nil {
-				release()
 				s.writeBodyError(w, err)
 				return
 			}
@@ -1243,13 +1181,11 @@ func (s *Server) handleScanBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if len(docs) == 0 {
-		release()
 		s.metrics.Errors.Add("bad_request", 1)
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "multipart form has no file parts"})
 		return
 	}
 	if !s.acquireSlot(w, r) {
-		release()
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.ScanTimeout)
@@ -1264,7 +1200,6 @@ func (s *Server) handleScanBatch(w http.ResponseWriter, r *http.Request) {
 	s.inflight.Add(1)
 	go func() {
 		defer s.inflight.Done()
-		defer release() // model-mapping lease ends only when the batch does
 		defer func() { <-s.sem }()
 		defer s.metrics.InFlight.Add(-1)
 		s.metrics.InFlight.Add(1)

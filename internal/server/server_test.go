@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -522,6 +523,112 @@ func TestReload(t *testing.T) {
 	// The reloaded model still serves scans.
 	if resp, sr := postScan(t, ts.URL, testFixture.macroDoc); resp.StatusCode != http.StatusOK || sr.Report == nil {
 		t.Fatalf("scan after reload: status %d, report %v", resp.StatusCode, sr.Report)
+	}
+}
+
+// TestReloadUnderLoad holds a scan in flight across a hot reload onto a
+// different model: the pinned scan must still answer, with the model it
+// started on, and every scan after the reload must use the new model. Run
+// with -race this also covers the detector handoff.
+func TestReloadUnderLoad(t *testing.T) {
+	oldDet := fixture(t)
+	spec := corpus.SmallSpec()
+	spec.BenignMacros, spec.BenignObfuscated = 120, 20
+	spec.MaliciousMacros, spec.MaliciousObfuscated = 60, 55
+	spec.BenignMaxLen = 4000
+	d := corpus.GenerateMacros(spec)
+	newDet, err := core.NewDetector(core.AlgoRF, core.FeatureSetV, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := newDet.Train(d.Sources(), d.Labels()); err != nil {
+		t.Fatal(err)
+	}
+	reportOf := func(det *core.Detector) string {
+		rep, err := det.ScanFile(testFixture.macroDoc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := json.Marshal(rep.JSON())
+		return string(b)
+	}
+	oldWant, newWant := reportOf(oldDet), reportOf(newDet)
+	if oldWant == newWant {
+		t.Fatal("the two models agree on the probe document; the test cannot tell them apart")
+	}
+	newBlob, err := newDet.SaveModel()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	path := filepath.Join(t.TempDir(), "model.json")
+	oldBlob, err := os.ReadFile(testFixture.modelPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, oldBlob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg := quietConfig()
+	cfg.CacheEntries = -1 // every request must run the pipeline
+	srv, err := NewFromModelFile(path, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	entered := make(chan struct{})
+	unblock := make(chan struct{})
+	var gated atomic.Bool
+	srv.scanGate = func() { // pins only the first scan
+		if gated.CompareAndSwap(false, true) {
+			close(entered)
+			<-unblock
+		}
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	scanReport := func() string { // runs off the test goroutine: t.Error only
+		resp, err := http.Post(ts.URL+"/v1/scan", "application/octet-stream", bytes.NewReader(testFixture.macroDoc))
+		if err != nil {
+			t.Error(err)
+			return ""
+		}
+		defer resp.Body.Close()
+		var sr ScanResponse
+		if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil || sr.Error != "" || sr.Report == nil {
+			t.Errorf("scan failed: %v, %+v", err, sr)
+			return ""
+		}
+		b, _ := json.Marshal(sr.Report)
+		return string(b)
+	}
+
+	pinned := make(chan string, 1)
+	go func() { pinned <- scanReport() }()
+	<-entered
+
+	// Swap the model while the scan is pinned mid-pipeline.
+	if err := os.WriteFile(path, newBlob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Reload(); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 3; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if g := scanReport(); g != newWant {
+				t.Errorf("scan after reload did not use the new model:\n got: %s\nwant: %s", g, newWant)
+			}
+		}()
+	}
+	wg.Wait()
+
+	close(unblock)
+	if g := <-pinned; g != oldWant {
+		t.Fatalf("in-flight scan across reload:\n got: %s\nwant: %s", g, oldWant)
 	}
 }
 

@@ -28,7 +28,6 @@ import (
 	"repro/internal/extract"
 	"repro/internal/fleet"
 	"repro/internal/hostile"
-	"repro/internal/ml"
 	"repro/internal/queue"
 	"repro/internal/scan"
 	"repro/internal/telemetry"
@@ -101,20 +100,17 @@ func NewDetector(algo Algorithm, fs FeatureSet, seed int64) (*Detector, error) {
 	return core.NewDetector(algo, fs, seed)
 }
 
-// LoadModel restores a detector persisted with Detector.SaveModel or
-// Detector.SaveModelCompiled.
+// LoadModel restores a detector persisted with Detector.SaveModel. Model
+// containers (VBADMDL1) written by older releases load from their JSON
+// head.
 func LoadModel(data []byte) (*Detector, error) {
 	return core.LoadModel(data)
 }
 
-// LoadModelFile restores a detector from a model file. With useMmap true
-// the file is memory-mapped; a compiled model container (written by
-// Detector.SaveModelCompiled, or `vbadetect train -compiled`) then
-// serves forest inference from one read-only model image shared by every
-// worker and process mapping the same file. Call Detector.Close when the
-// detector is no longer needed to release the mapping.
-func LoadModelFile(path string, useMmap bool) (*Detector, error) {
-	return core.LoadModelFile(path, useMmap)
+// LoadModelFile reads a model file and restores the detector it holds
+// (see LoadModel).
+func LoadModelFile(path string) (*Detector, error) {
+	return core.LoadModelFile(path)
 }
 
 // ExtractMacros extracts raw macro sources from an Office document
@@ -210,48 +206,6 @@ func NewMacroCache(maxEntries int, maxBytes int64) *MacroCache {
 // rules as NewMacroCache.
 func NewDocCache(maxEntries int, maxBytes int64) *DocCache {
 	return scan.NewDocCache(maxEntries, maxBytes)
-}
-
-// Compiled forest inference — models load (and train) into a
-// branch-minimal compiled engine transparently; these re-exports cover
-// the opt-in surface: compiled model containers, mmap'd model images,
-// and micro-batching (see internal/ml and the README's Performance
-// section).
-
-type (
-	// CompiledForest is the branch-minimal compiled form of a trained
-	// Random Forest; verdicts are bit-identical to the interpreted walk.
-	CompiledForest = ml.CompiledForest
-	// Mapping is a refcounted read-only file mapping backing an mmap'd
-	// model; obtain one via Detector.ModelMapping.
-	Mapping = ml.Mapping
-	// Coalescer merges feature rows from concurrent scans into shared
-	// classify calls bounded by a latency window. Attach its Predict to
-	// a detector with Detector.SetClassifyBatch.
-	Coalescer = scan.Coalescer
-)
-
-// Typed sentinel errors from the fixed-layout model section codec, for
-// errors.Is on LoadModel/LoadModelFile failures.
-var (
-	// ErrSnapshotChecksum reports a damaged compiled-model section.
-	ErrSnapshotChecksum = ml.ErrSnapshotChecksum
-	// ErrSnapshotVersion reports a section written by an incompatible
-	// codec version (the loader falls back to the JSON head).
-	ErrSnapshotVersion = ml.ErrSnapshotVersion
-	// ErrSnapshotEndian reports a section written on a foreign-endian
-	// machine (the loader falls back to the JSON head).
-	ErrSnapshotEndian = ml.ErrSnapshotEndian
-	// ErrSnapshotMalformed reports a structurally invalid section.
-	ErrSnapshotMalformed = ml.ErrSnapshotMalformed
-)
-
-// NewCoalescer builds a classify micro-batcher around predict: callers
-// inside the same window (the first holds it open, up to maxRows rows)
-// share one predict call. window <= 0 disables coalescing; maxRows <= 0
-// means 256.
-func NewCoalescer(predict func(X [][]float64) ([]int, []float64), window time.Duration, maxRows int) *Coalescer {
-	return scan.NewCoalescer(predict, window, maxRows)
 }
 
 // Hostile-input hardening — resource budgets, the error taxonomy and the

@@ -121,27 +121,21 @@ func TestFacadeModelRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFacadeCompiledModelFile round-trips a compiled model container
-// through the mmap loader and checks verdicts match the in-memory
-// detector, section damage surfaces the typed checksum sentinel, and
-// Close releases the mapping.
-func TestFacadeCompiledModelFile(t *testing.T) {
+// TestFacadeModelFile saves a model to disk and checks the file loader
+// restores a detector with the same verdicts.
+func TestFacadeModelFile(t *testing.T) {
 	det := trainedDetector(t)
-	blob, err := det.SaveModelCompiled()
+	blob, err := det.SaveModel()
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "model.bin")
+	path := filepath.Join(t.TempDir(), "model.json")
 	if err := os.WriteFile(path, blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := vbadetect.LoadModelFile(path, true)
+	restored, err := vbadetect.LoadModelFile(path)
 	if err != nil {
 		t.Fatal(err)
-	}
-	m := restored.ModelMapping()
-	if m == nil {
-		t.Fatal("mmap load did not retain a mapping")
 	}
 	a, err := det.ClassifySource(benignSrc)
 	if err != nil {
@@ -153,20 +147,6 @@ func TestFacadeCompiledModelFile(t *testing.T) {
 	}
 	if a.Score != b.Score {
 		t.Errorf("scores differ: %v vs %v", a.Score, b.Score)
-	}
-	if err := restored.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !m.Unmapped() {
-		t.Error("Close left the model image mapped")
-	}
-
-	// Flip one byte past the JSON head and the load must fail with the
-	// checksum sentinel, not a silent fallback.
-	bad := append([]byte(nil), blob...)
-	bad[len(bad)-5] ^= 0x40
-	if _, err := vbadetect.LoadModel(bad); !errors.Is(err, vbadetect.ErrSnapshotChecksum) {
-		t.Errorf("corrupt section: err = %v, want ErrSnapshotChecksum", err)
 	}
 }
 
