@@ -28,8 +28,8 @@ import (
 // legacyContainerFixture is a VBADMDL1 model container (container version
 // 1: JSON model head plus a compiled-forest section) written by the
 // container writer that older releases shipped. Its JSON head is the
-// Random Forest over the V features that e2eModel trains (same corpus
-// spec, seed 7). It is kept verbatim so loaders keep accepting containers
+// Random Forest over the V features that e2eModel trains (e2eSpec, seed
+// 7). It is kept verbatim so loaders keep accepting containers
 // already deployed in the field.
 const legacyContainerFixture = "testdata/legacy_rf_v.vbadmdl.gz"
 
@@ -66,11 +66,7 @@ func readLegacyContainer(t *testing.T) (container, head []byte) {
 // one destroyed module (a degraded report).
 func differentialDocs(t *testing.T) []scan.Document {
 	t.Helper()
-	spec := corpus.SmallSpec()
-	spec.BenignMacros, spec.BenignObfuscated = 120, 20
-	spec.MaliciousMacros, spec.MaliciousObfuscated = 60, 55
-	spec.BenignMaxLen = 4000
-	files, err := corpus.GenerateMacros(spec).BuildFiles()
+	files, err := corpus.GenerateMacros(e2eSpec()).BuildFiles()
 	if err != nil {
 		t.Fatal(err)
 	}

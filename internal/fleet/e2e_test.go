@@ -28,15 +28,21 @@ var e2eFixture = struct {
 	err       error
 }{}
 
+// e2eSpec is the corpus the e2e model is trained on and its documents
+// are built from.
+func e2eSpec() corpus.Spec {
+	spec := corpus.SmallSpec()
+	spec.BenignMacros, spec.BenignObfuscated = 120, 20
+	spec.MaliciousMacros, spec.MaliciousObfuscated = 60, 55
+	spec.BenignMaxLen = 4000
+	return spec
+}
+
 func e2eModel(t *testing.T) (string, [][]byte) {
 	t.Helper()
 	e2eFixture.once.Do(func() {
 		fail := func(err error) { e2eFixture.err = err }
-		spec := corpus.SmallSpec()
-		spec.BenignMacros, spec.BenignObfuscated = 120, 20
-		spec.MaliciousMacros, spec.MaliciousObfuscated = 60, 55
-		spec.BenignMaxLen = 4000
-		d := corpus.GenerateMacros(spec)
+		d := corpus.GenerateMacros(e2eSpec())
 		det, err := core.NewDetector(core.AlgoRF, core.FeatureSetV, 7)
 		if err != nil {
 			fail(err)

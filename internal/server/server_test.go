@@ -36,15 +36,21 @@ var testFixture = struct {
 	err       error
 }{}
 
+// fixtureSpec is the corpus the fixture model is trained on and its
+// documents are built from.
+func fixtureSpec() corpus.Spec {
+	spec := corpus.SmallSpec()
+	spec.BenignMacros, spec.BenignObfuscated = 120, 20
+	spec.MaliciousMacros, spec.MaliciousObfuscated = 60, 55
+	spec.BenignMaxLen = 4000
+	return spec
+}
+
 func fixture(t *testing.T) *core.Detector {
 	t.Helper()
 	testFixture.once.Do(func() {
 		fail := func(err error) { testFixture.err = err }
-		spec := corpus.SmallSpec()
-		spec.BenignMacros, spec.BenignObfuscated = 120, 20
-		spec.MaliciousMacros, spec.MaliciousObfuscated = 60, 55
-		spec.BenignMaxLen = 4000
-		d := corpus.GenerateMacros(spec)
+		d := corpus.GenerateMacros(fixtureSpec())
 		det, err := core.NewDetector(core.AlgoRF, core.FeatureSetV, 7)
 		if err != nil {
 			fail(err)
@@ -532,11 +538,7 @@ func TestReload(t *testing.T) {
 // with -race this also covers the detector handoff.
 func TestReloadUnderLoad(t *testing.T) {
 	oldDet := fixture(t)
-	spec := corpus.SmallSpec()
-	spec.BenignMacros, spec.BenignObfuscated = 120, 20
-	spec.MaliciousMacros, spec.MaliciousObfuscated = 60, 55
-	spec.BenignMaxLen = 4000
-	d := corpus.GenerateMacros(spec)
+	d := corpus.GenerateMacros(fixtureSpec())
 	newDet, err := core.NewDetector(core.AlgoRF, core.FeatureSetV, 8)
 	if err != nil {
 		t.Fatal(err)
