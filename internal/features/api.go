@@ -8,8 +8,8 @@
 package features
 
 import (
+	"math"
 	"strings"
-	"sync"
 
 	"repro/internal/vba"
 )
@@ -91,23 +91,12 @@ func sanitizeName(s string) string {
 	return sb.String()
 }
 
-// apiScratch pools the lowercased-source buffer and the per-token case
-// folding buffer so steady-state extraction allocates only the output
-// vector.
-type apiScratch struct {
-	lowerSrc []byte
-	lowerTok []byte
-}
-
-var apiPool = sync.Pool{New: func() any { return new(apiScratch) }}
-
 // APIChannel computes the suspicious-API/keyword vector for the analyzed
 // macro. Counts are normalized by the comment-free code length (the
 // paper's §IV.C rule), keeping the channel scale-invariant. It is a pure
 // function of the analysis, so concurrent calls on a shared Analysis are
-// safe.
+// safe, and it allocates only the output vector.
 func (a *Analysis) APIChannel() []float64 {
-	sc := apiPool.Get().(*apiScratch)
 	out := make([]float64, APIDim)
 	fnBase := 0
 	kwBase := len(VBABuiltins)
@@ -116,6 +105,7 @@ func (a *Analysis) APIChannel() []float64 {
 	// lexer classifies some built-ins (Abs, Mid, CInt, Xor, ...) as
 	// reserved words, so both identifier and keyword tokens participate.
 	fnTotal := 0
+	var lowerTok [16]byte
 	for _, t := range a.module.Tokens {
 		if t.Kind != vba.KindIdent && t.Kind != vba.KindKeyword {
 			continue
@@ -123,19 +113,19 @@ func (a *Analysis) APIChannel() []float64 {
 		if len(t.Text) > maxBuiltinLen {
 			continue
 		}
-		sc.lowerTok = appendLowerASCII(sc.lowerTok[:0], t.Text)
-		if i, ok := builtinIndex[string(sc.lowerTok)]; ok {
+		if i, ok := builtinIndex[string(appendLowerASCII(lowerTok[:0], t.Text))]; ok {
 			out[fnBase+i]++
 			fnTotal++
 		}
 	}
 
-	// Block 2 — suspicious keyword substring counts over the lowercased
-	// raw source (dotted and dashed patterns never survive tokenization).
-	sc.lowerSrc = appendLowerASCII(sc.lowerSrc[:0], a.src)
+	// Block 2 — suspicious keyword substring counts over the raw source
+	// (dotted and dashed patterns never survive tokenization), all 46 in
+	// one case-folding automaton pass.
+	var counts [numSuspicious]int
+	keywordAutomaton.count(a.src, &counts)
 	kwTotal := 0
-	for i, pat := range suspiciousLower {
-		n := countSub(sc.lowerSrc, pat)
+	for i, n := range counts {
 		out[kwBase+i] = float64(n)
 		kwTotal += n
 	}
@@ -148,8 +138,6 @@ func (a *Analysis) APIChannel() []float64 {
 	}
 	out[APIDim-2] = ratio(float64(fnTotal), code)
 	out[APIDim-1] = ratio(float64(kwTotal), code)
-
-	apiPool.Put(sc)
 	return out
 }
 
@@ -169,9 +157,8 @@ var maxBuiltinLen = func() int {
 }()
 
 // appendLowerASCII appends s to dst with ASCII letters lowercased. Bytes
-// ≥ 0x80 pass through unchanged — the suspicious patterns are pure ASCII,
-// so exotic case-folding aliases cannot create false matches and exact
-// ASCII spellings always match.
+// ≥ 0x80 pass through unchanged — the built-in names are pure ASCII, so
+// exotic case-folding aliases cannot create false matches.
 func appendLowerASCII(dst []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
 		c := s[i]
@@ -183,24 +170,134 @@ func appendLowerASCII(dst []byte, s string) []byte {
 	return dst
 }
 
-// countSub counts non-overlapping occurrences of pat in b.
-func countSub(b []byte, pat string) int {
-	if len(pat) == 0 || len(b) < len(pat) {
-		return 0
+// numSuspicious is len(SuspiciousKeywords), as a constant so the keyword
+// counts live in a stack array.
+const numSuspicious = 46
+
+// keywordAutomaton matches every suspicious keyword in one pass.
+var keywordAutomaton = func() *kwAutomaton {
+	if len(SuspiciousKeywords) != numSuspicious {
+		panic("features: numSuspicious disagrees with SuspiciousKeywords")
 	}
-	n := 0
-	first := pat[0]
-	for i := 0; i+len(pat) <= len(b); {
-		if b[i] != first {
-			i++
+	return newKWAutomaton(suspiciousLower)
+}()
+
+// kwAutomaton is an Aho–Corasick automaton over the lowercased keyword
+// patterns. Input bytes are case-folded through class: ASCII A–Z share
+// their lowercase letter's class, and every byte no pattern uses (all
+// bytes ≥ 0x80 among them) shares class 0, so the scan reads the raw
+// source with no lowered copy. next is the dense transition table,
+// states × classes, with failure links already folded in.
+type kwAutomaton struct {
+	class    [256]uint8
+	nclass   int
+	next     []uint16
+	outStart []int   // state s reports patterns out[outStart[s]:outStart[s+1]]
+	out      []uint8 // pattern indices, including those reached by failure links
+	patLen   [numSuspicious]int
+}
+
+func newKWAutomaton(pats []string) *kwAutomaton {
+	if len(pats) > numSuspicious {
+		panic("features: more keyword patterns than numSuspicious")
+	}
+	a := &kwAutomaton{}
+	a.nclass = 1
+	for _, p := range pats {
+		for i := 0; i < len(p); i++ {
+			if c := p[i]; a.class[c] == 0 {
+				a.class[c] = uint8(a.nclass)
+				a.nclass++
+			}
+		}
+	}
+	for c := 'A'; c <= 'Z'; c++ {
+		a.class[c] = a.class[c+'a'-'A']
+	}
+
+	// Trie: goto edges (0 = absent; the root is state 0 and has no
+	// incoming edges) and the patterns ending at each state.
+	var gotos [][]uint16
+	var ends [][]uint8
+	newState := func() int {
+		if len(gotos) > math.MaxUint16 {
+			panic("features: keyword automaton exceeds uint16 states")
+		}
+		gotos = append(gotos, make([]uint16, a.nclass))
+		ends = append(ends, nil)
+		return len(gotos) - 1
+	}
+	newState()
+	for pi, p := range pats {
+		s := 0
+		for i := 0; i < len(p); i++ {
+			c := a.class[p[i]]
+			if gotos[s][c] == 0 {
+				gotos[s][c] = uint16(newState())
+			}
+			s = int(gotos[s][c])
+		}
+		ends[s] = append(ends[s], uint8(pi))
+		a.patLen[pi] = len(p)
+	}
+
+	// Breadth-first: each state's transitions and outputs derive from its
+	// failure state's, which sits at a lower depth and is already done.
+	n := len(gotos)
+	a.next = make([]uint16, n*a.nclass)
+	fail := make([]int, n)
+	outs := make([][]uint8, n)
+	queue := []int{0}
+	for len(queue) > 0 {
+		s := queue[0]
+		queue = queue[1:]
+		if s != 0 {
+			outs[s] = append(append([]uint8(nil), ends[s]...), outs[fail[s]]...)
+		}
+		for c := 0; c < a.nclass; c++ {
+			t := int(gotos[s][c])
+			switch {
+			case t != 0:
+				if s != 0 {
+					fail[t] = int(a.next[fail[s]*a.nclass+c])
+				}
+				a.next[s*a.nclass+c] = uint16(t)
+				queue = append(queue, t)
+			case s != 0:
+				a.next[s*a.nclass+c] = a.next[fail[s]*a.nclass+c]
+			}
+		}
+	}
+	a.outStart = make([]int, n+1)
+	for s := 0; s < n; s++ {
+		a.out = append(a.out, outs[s]...)
+		a.outStart[s+1] = len(a.out)
+	}
+	return a
+}
+
+// count adds to counts[p] the non-overlapping occurrences of pattern p in
+// src, with the greedy left-to-right semantics of a per-pattern substring
+// scan: a match counts only if it starts at or after the end of that
+// pattern's previous counted match. Different patterns overlap freely —
+// "Shell" counts inside "ShellExecute" and "Wscript.Shell", "Open" inside
+// "Auto_Open". (No current keyword can overlap itself, but the check keeps
+// the counts exact for any pattern list.)
+func (a *kwAutomaton) count(src string, counts *[numSuspicious]int) {
+	var lastEnd [numSuspicious]int
+	s := 0
+	for i := 0; i < len(src); i++ {
+		s = int(a.next[s*a.nclass+int(a.class[src[i]])])
+		lo, hi := a.outStart[s], a.outStart[s+1]
+		if lo == hi {
 			continue
 		}
-		if string(b[i:i+len(pat)]) == pat {
-			n++
-			i += len(pat)
-			continue
+		end := i + 1
+		for _, p := range a.out[lo:hi] {
+			if end-a.patLen[p] >= lastEnd[p] {
+				counts[p]++
+				lastEnd[p] = end
+			}
 		}
-		i++
 	}
-	return n
 }

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/corpus"
 	"repro/internal/hostile"
 )
 
@@ -344,6 +345,81 @@ func TestCountSub(t *testing.T) {
 	} {
 		if got := countSub([]byte(tc.b), tc.pat); got != tc.want {
 			t.Errorf("countSub(%q, %q) = %d, want %d", tc.b, tc.pat, got, tc.want)
+		}
+	}
+}
+
+// The keyword automaton must reproduce the per-pattern substring scan
+// exactly, on the SmallSpec corpus and on random keyword-dense strings
+// that splice overlapping patterns (Shell/ShellExecute/Wscript.Shell,
+// Open/Auto_Open, Virtual/VirtualAllocEx) in random case.
+func TestKeywordAutomatonMatchesOracle(t *testing.T) {
+	check := func(src string) {
+		t.Helper()
+		var got [numSuspicious]int
+		keywordAutomaton.count(src, &got)
+		if want := keywordCountsOracle(src); got != want {
+			t.Fatalf("src %q: automaton %v, reference %v", src, got, want)
+		}
+	}
+	for _, src := range corpus.GenerateMacros(corpus.SmallSpec()).Sources() {
+		check(src)
+	}
+	// Patterns that overlap themselves and each other exercise the
+	// per-pattern non-overlap rule, which no SuspiciousKeywords entry
+	// can trigger on its own.
+	selfOverlap := []string{"aa", "aba", "abab", "b", "bab"}
+	small := newKWAutomaton(selfOverlap)
+	for _, src := range []string{"aaaa", "aaaaa", "ababababa", "abaababa", "AbAbAb", "babab", "aXaa\x80aa"} {
+		var got [numSuspicious]int
+		small.count(src, &got)
+		for i, pat := range selfOverlap {
+			if want := countSub(appendLowerASCII(nil, src), pat); got[i] != want {
+				t.Errorf("src %q pattern %q: automaton %d, reference %d", src, pat, got[i], want)
+			}
+		}
+	}
+
+	rng := rand.New(rand.NewSource(11))
+	noise := []string{"", " ", ".", "_", "a", "e", "\x80", "\xff", "\n", "ll", "op"}
+	var sb strings.Builder
+	for n := 0; n < 2000; n++ {
+		sb.Reset()
+		for k := rng.Intn(12); k >= 0; k-- {
+			kw := SuspiciousKeywords[rng.Intn(len(SuspiciousKeywords))]
+			if rng.Intn(3) == 0 {
+				kw = kw[rng.Intn(len(kw)):] // a suffix, to land mid-pattern
+			}
+			for i := 0; i < len(kw); i++ {
+				c := kw[i]
+				if rng.Intn(2) == 0 {
+					c = strings.ToUpper(string(c))[0]
+				} else {
+					c = strings.ToLower(string(c))[0]
+				}
+				sb.WriteByte(c)
+			}
+			sb.WriteString(noise[rng.Intn(len(noise))])
+		}
+		check(sb.String())
+	}
+}
+
+// The api and entropy channels allocate exactly their output vector: the
+// keyword counts, the token case-folding buffer and the window histogram
+// all live on the stack.
+func TestChannelAllocs(t *testing.T) {
+	src := strings.Repeat("Sub Auto_Open()\n  Set o = CreateObject(\"Wscript.Shell\")\n  o.Run Chr(99) & \"md.exe\", vbhide\nEnd Sub\n", 20)
+	a := Analyze(src)
+	for _, tc := range []struct {
+		name string
+		fn   func() []float64
+	}{
+		{"api", a.APIChannel},
+		{"entropy", a.EntropyChannel},
+	} {
+		if n := testing.AllocsPerRun(50, func() { tc.fn() }); n != 1 {
+			t.Errorf("%s channel: %v allocs per call, want 1 (the output vector)", tc.name, n)
 		}
 	}
 }

@@ -78,7 +78,9 @@ func EntropySeries(data []byte, window, stride, maxWindows int) []float64 {
 
 // forEachWindowEntropy slides the window over s, maintaining the byte
 // histogram incrementally (each byte enters and leaves the histogram once)
-// and folding it into entropy per window position.
+// and folding it into entropy per window position. Full EntropyWindow-byte
+// windows fold through the fullWindowTerms table; partial tail windows
+// (and other window widths) take entropyFromCounts.
 func forEachWindowEntropy(s string, window, stride, maxWindows int, fn func(float64)) {
 	if len(s) == 0 {
 		return
@@ -103,7 +105,11 @@ func forEachWindowEntropy(s string, window, stride, maxWindows int, fn func(floa
 		if maxWindows > 0 && emitted >= maxWindows {
 			return
 		}
-		fn(entropyFromCounts(&counts, end-start))
+		if end-start == EntropyWindow {
+			fn(fullWindowEntropy(&counts))
+		} else {
+			fn(entropyFromCounts(&counts, end-start))
+		}
 		emitted++
 		if end >= len(s) {
 			return
@@ -130,6 +136,34 @@ func forEachWindowEntropy(s string, window, stride, maxWindows int, fn func(floa
 		}
 		start, end = newStart, newEnd
 	}
+}
+
+// fullWindowTerms[c] is the entropy term of a byte seen c times in an
+// EntropyWindow-byte window. Each entry is the expression entropyFromCounts
+// evaluates, p := float64(c)/256; p*math.Log2(p), and fullWindowEntropy
+// subtracts the entries in entropyFromCounts's order (byte value, zero
+// buckets skipped), so a full window's entropy is bit-identical to
+// entropyFromCounts(counts, 256) on targets that round every product
+// (amd64).
+var fullWindowTerms = func() (t [EntropyWindow + 1]float64) {
+	fn := float64(EntropyWindow)
+	for c := 1; c <= EntropyWindow; c++ {
+		p := float64(c) / fn
+		t[c] = p * math.Log2(p)
+	}
+	return t
+}()
+
+// fullWindowEntropy is entropyFromCounts(counts, EntropyWindow) by table
+// lookup.
+func fullWindowEntropy(counts *[256]int) float64 {
+	h := 0.0
+	for _, c := range counts {
+		if c != 0 {
+			h -= fullWindowTerms[c]
+		}
+	}
+	return h
 }
 
 // entropySummary folds the windowed series into the channel's summary

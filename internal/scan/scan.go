@@ -245,6 +245,9 @@ type Engine struct {
 	workers int
 	policy  Policy
 	docs    *DocCache
+	// flight collapses concurrent scans of one document key while docs
+	// is attached.
+	flight cache.Flight[Result]
 
 	// Telemetry (all optional; nil = disabled with no per-document cost).
 	traceSink func(*telemetry.Tracer)
@@ -465,39 +468,68 @@ func (e *Engine) ScanAll(ctx context.Context, docs []Document) ([]Result, *Stats
 	return results, stats, nil
 }
 
-// scanOne runs the pipeline on one document under the retry policy and
-// accumulates stats. Result.Timings accumulates across attempts — a
-// document that failed twice and succeeded on the third try reports the
-// stage time of all three passes, matching what the worker actually spent.
+// scanOne scans one document, through the document cache when one is
+// attached. Concurrent scans of the same document key collapse into one:
+// the leader looks the report up or runs the pipeline (and caches a clean
+// report), and followers are served the leader's clean report as a cache
+// hit. Errors and degraded reports are never shared as hits — a follower
+// of such a leader runs its own pipeline, as an uncached scan would.
 func (e *Engine) scanOne(ctx context.Context, doc Document, index int, stats *Stats) Result {
 	e.busy.Add(1)
 	defer e.busy.Add(-1)
-	pol := e.policy.withDefaults()
-
-	var docKey cache.Key
-	if e.docs != nil {
-		// The key is salted with the detector's feature-set identity, so a
-		// cache shared across engine generations (model retrained on a new
-		// channel layout) misses cleanly instead of serving stale verdicts.
-		docKey = cache.KeyOfSalted(e.det.FeatureSetID(), doc.Data)
-		if report, ok := e.docs.Get(docKey); ok {
-			if e.traceSink != nil {
-				tr := telemetry.NewTracer(doc.Name)
-				tr.Root().Annotate("cache", "hit")
-				tr.Finish()
-				e.traceSink(tr)
-			}
-			atomic.AddInt64(&stats.Files, 1)
-			atomic.AddInt64(&stats.CacheHits, 1)
-			atomic.AddInt64(&stats.Macros, int64(len(report.Macros)))
-			atomic.AddInt64(&stats.Skipped, int64(report.Skipped))
-			e.telFiles.Add(1)
-			e.telMacros.Add(int64(len(report.Macros)))
-			res := Result{Index: index, Name: doc.Name, Report: report, CacheHit: true}
-			e.auditResult(doc, res)
-			return res
-		}
+	if e.docs == nil {
+		return e.runPipeline(ctx, doc, index, stats)
 	}
+	// The key is salted with the detector's feature-set identity, so a
+	// cache shared across engine generations (model retrained on a new
+	// channel layout) misses cleanly instead of serving stale verdicts.
+	key := cache.KeyOfSalted(e.det.FeatureSetID(), doc.Data)
+	res, _, leader := e.flight.Do(key, func() (Result, error) {
+		if report, ok := e.docs.Get(key); ok {
+			return e.serveCached(doc, index, report, stats), nil
+		}
+		res := e.runPipeline(ctx, doc, index, stats)
+		if res.Err == nil {
+			e.docs.Put(key, res.Report) // Put refuses degraded reports
+		}
+		return res, nil
+	})
+	switch {
+	case leader:
+		return res
+	case res.Err != nil || res.Report.Degraded:
+		return e.runPipeline(ctx, doc, index, stats)
+	default:
+		return e.serveCached(doc, index, res.Report, stats)
+	}
+}
+
+// serveCached answers one document with a report the cache (or a
+// concurrent scan of the same bytes) already holds.
+func (e *Engine) serveCached(doc Document, index int, report *core.FileReport, stats *Stats) Result {
+	if e.traceSink != nil {
+		tr := telemetry.NewTracer(doc.Name)
+		tr.Root().Annotate("cache", "hit")
+		tr.Finish()
+		e.traceSink(tr)
+	}
+	atomic.AddInt64(&stats.Files, 1)
+	atomic.AddInt64(&stats.CacheHits, 1)
+	atomic.AddInt64(&stats.Macros, int64(len(report.Macros)))
+	atomic.AddInt64(&stats.Skipped, int64(report.Skipped))
+	e.telFiles.Add(1)
+	e.telMacros.Add(int64(len(report.Macros)))
+	res := Result{Index: index, Name: doc.Name, Report: report, CacheHit: true}
+	e.auditResult(doc, res)
+	return res
+}
+
+// runPipeline runs the pipeline on one document under the retry policy and
+// accumulates stats. Result.Timings accumulates across attempts — a
+// document that failed twice and succeeded on the third try reports the
+// stage time of all three passes, matching what the worker actually spent.
+func (e *Engine) runPipeline(ctx context.Context, doc Document, index int, stats *Stats) Result {
+	pol := e.policy.withDefaults()
 
 	var tr *telemetry.Tracer
 	if e.traceSink != nil {
@@ -549,9 +581,6 @@ func (e *Engine) scanOne(ctx context.Context, doc Document, index int, stats *St
 		}
 	} else {
 		res.Report = report
-		if e.docs != nil {
-			e.docs.Put(docKey, report)
-		}
 		if report.Degraded {
 			atomic.AddInt64(&stats.Degraded, 1)
 		}

@@ -335,13 +335,16 @@ func (lx *lexer) lexOperatorOrPunct() {
 	}
 	lx.pos++
 	lx.col++
+	// The text is a slice of the source, so single-byte tokens allocate
+	// nothing (c < 0x80 here: higher bytes start identifiers).
+	text := lx.src[lx.pos-1 : lx.pos]
 	switch c {
 	case '+', '-', '*', '/', '\\', '^', '=', '<', '>':
-		lx.emitAt(KindOperator, string(c), startLine, startCol)
+		lx.emitAt(KindOperator, text, startLine, startCol)
 	case '(', ')', ',', '.', ':', ';', '!', '?', '$', '@', '%', '{', '}', ']':
-		lx.emitAt(KindPunct, string(c), startLine, startCol)
+		lx.emitAt(KindPunct, text, startLine, startCol)
 	default:
-		lx.emitAt(KindIllegal, string(c), startLine, startCol)
+		lx.emitAt(KindIllegal, text, startLine, startCol)
 	}
 }
 
